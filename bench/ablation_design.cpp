@@ -1,4 +1,4 @@
-// ABL — ablations of the design choices DESIGN.md calls out. Four
+// ABL — ablations of this implementation's design choices. Four
 // questions the paper leaves open, answered by measurement:
 //
 //  A. Join operator at control-flow merges (weighted mean / unweighted

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 
 #include "pipeline/analysis_manager.hpp"
 #include "support/assert.hpp"
@@ -10,35 +11,95 @@
 namespace tadfa::core {
 namespace {
 
-/// Per-register power (W) of one instruction execution: access energies
-/// spread over the instruction's latency, distributed over cells according
-/// to the access model.
-std::vector<double> instruction_power(
-    const ir::Instruction& inst, const AccessDistributionModel& model,
-    const machine::TimingModel& timing,
-    const machine::TechnologyParams& tech, std::uint32_t n_phys) {
-  std::vector<double> p(n_phys, 0.0);
-  const double window_s =
-      static_cast<double>(timing.cycles(inst)) * tech.cycle_seconds();
+/// Everything a Fig. 2 visit needs that does not change between
+/// iterations, built once per analysis. Instructions are indexed densely
+/// in function order (func.all_instructions()).
+struct AnalysisTables {
+  /// Instruction k's non-zero dynamic-power entries (per-register watts:
+  /// access energies spread over its latency and distributed over cells
+  /// by the access model) are power_reg / power_w [power_begin[k],
+  /// power_begin[k + 1]).
+  std::vector<std::size_t> power_begin;
+  std::vector<std::uint32_t> power_reg;
+  std::vector<double> power_w;
+  /// Instruction k's substep plan over its frequency-scaled window.
+  std::vector<thermal::StepPlan> plan;
+  /// Dense index of each block's first instruction.
+  std::vector<std::size_t> block_first;
+  /// Block b's join weights, one per cfg.predecessors(b) entry, start at
+  /// join_weight[weight_begin[b]]; weight_sum[b] includes the entry
+  /// block's unit boundary weight.
+  std::vector<std::size_t> weight_begin;
+  std::vector<double> join_weight;
+  std::vector<double> weight_sum;
+};
 
-  auto add = [&](ir::Reg v, double energy) {
-    const std::vector<double>& dist = model.distribution(v);
-    TADFA_ASSERT(dist.size() == n_phys);
-    const double watts = energy / window_s;
-    for (std::uint32_t r = 0; r < n_phys; ++r) {
-      if (dist[r] != 0.0) {
-        p[r] += watts * dist[r];
+AnalysisTables build_tables(const ir::Function& func, const dataflow::Cfg& cfg,
+                            const std::vector<double>& freq,
+                            const AccessDistributionModel& model,
+                            const machine::TimingModel& timing,
+                            const thermal::ThermalGrid& grid,
+                            JoinMode join_mode) {
+  const machine::TechnologyParams& tech = grid.floorplan().config().tech;
+  const std::uint32_t n_phys = grid.floorplan().num_registers();
+  const double cycle_s = tech.cycle_seconds();
+  AnalysisTables tables;
+
+  std::vector<double> dense(n_phys);
+  tables.block_first.resize(func.block_count());
+  for (const ir::BasicBlock& block : func.blocks()) {
+    tables.block_first[block.id()] = tables.plan.size();
+    const double block_freq = std::max(freq[block.id()], 1e-12);
+    for (const ir::Instruction& inst : block.instructions()) {
+      const double window_s =
+          static_cast<double>(timing.cycles(inst)) * cycle_s;
+      std::fill(dense.begin(), dense.end(), 0.0);
+      auto add = [&](ir::Reg v, double energy) {
+        const std::vector<double>& dist = model.distribution(v);
+        TADFA_ASSERT(dist.size() == n_phys);
+        const double watts = energy / window_s;
+        for (std::uint32_t r = 0; r < n_phys; ++r) {
+          if (dist[r] != 0.0) {
+            dense[r] += watts * dist[r];
+          }
+        }
+      };
+      for (ir::Reg u : inst.uses()) {
+        add(u, tech.read_energy_j);
       }
+      if (auto d = inst.def()) {
+        add(*d, tech.write_energy_j);
+      }
+      tables.power_begin.push_back(tables.power_reg.size());
+      for (std::uint32_t r = 0; r < n_phys; ++r) {
+        if (dense[r] != 0.0) {
+          tables.power_reg.push_back(r);
+          tables.power_w.push_back(dense[r]);
+        }
+      }
+      // Frequency scaling: this instruction executes ~block_freq times per
+      // program run; model those executions as one contiguous window (same
+      // average power, frequency-scaled duration).
+      tables.plan.push_back(grid.plan_step(window_s * block_freq));
     }
-  };
+  }
+  tables.power_begin.push_back(tables.power_reg.size());
 
-  for (ir::Reg u : inst.uses()) {
-    add(u, tech.read_energy_j);
+  tables.weight_begin.resize(func.block_count());
+  tables.weight_sum.resize(func.block_count());
+  for (ir::BlockId b = 0; b < func.block_count(); ++b) {
+    tables.weight_begin[b] = tables.join_weight.size();
+    double sum = b == func.entry() ? 1.0 : 0.0;
+    for (ir::BlockId p : cfg.predecessors(b)) {
+      const double w = join_mode == JoinMode::kWeightedMean
+                           ? std::max(freq[p], 1e-12)
+                           : 1.0;
+      tables.join_weight.push_back(w);
+      sum += w;
+    }
+    tables.weight_sum[b] = sum;
   }
-  if (auto d = inst.def()) {
-    add(*d, tech.write_energy_j);
-  }
-  return p;
+  return tables;
 }
 
 }  // namespace
@@ -62,8 +123,10 @@ ThermalDfaResult ThermalDfa::analyze(const ir::Function& func,
   const auto t0 = std::chrono::steady_clock::now();
 
   const machine::Floorplan& fp = grid_->floorplan();
-  const machine::TechnologyParams& tech = fp.config().tech;
   const std::uint32_t n_phys = fp.num_registers();
+  const std::size_t nodes = grid_->node_count();
+  const std::size_t state_bytes = nodes * sizeof(double);
+  const double t_sub = grid_->substrate_temp();
 
   const dataflow::Cfg& cfg = am.get<dataflow::Cfg>(func);
 
@@ -81,35 +144,32 @@ ThermalDfaResult ThermalDfa::analyze(const ir::Function& func,
     freq = pipeline::block_frequencies(am, func, config_.trip_count_guess);
   }
 
-  ThermalDfaResult result;
+  const AnalysisTables tables = build_tables(func, cfg, freq, model, timing_,
+                                             *grid_, config_.join_mode);
 
-  // State storage. out_state[b] = thermal state at block exit, as of the
-  // latest iteration. prev_instr_temps = last iteration's per-instruction
-  // register temps, for the δ test of Fig. 2.
-  std::vector<thermal::ThermalState> out_state(func.block_count(),
-                                               grid_->initial_state());
-  const std::vector<ir::InstrRef> all_refs = func.all_instructions();
-  std::vector<std::vector<double>> prev_instr_temps(
-      all_refs.size(), std::vector<double>(n_phys, grid_->substrate_temp()));
-  std::vector<std::vector<double>> cur_instr_temps = prev_instr_temps;
-
-  // Map InstrRef -> dense index into the vectors above.
-  std::vector<std::size_t> block_first(func.block_count(), 0);
-  {
-    std::size_t idx = 0;
-    for (const ir::BasicBlock& b : func.blocks()) {
-      block_first[b.id()] = idx;
-      idx += b.size();
-    }
-  }
-
-  const double cycle_s = tech.cycle_seconds();
+  // Flat state buffers, reused by every visit:
+  //   exit_state[b]  node temperatures at block b's exit, latest iteration;
+  //   entry_state[b] block b's joined entry state when it last ran;
+  //   instr_temps[k] register temperatures after instruction k, latest
+  //                  iteration — the δ test of Fig. 2 compares against and
+  //                  then overwrites it in place.
+  std::vector<double> exit_state(func.block_count() * nodes, t_sub);
+  std::vector<double> entry_state(func.block_count() * nodes);
+  std::vector<char> ran(func.block_count(), 0);
+  std::vector<double> instr_temps(tables.plan.size() * n_phys, t_sub);
+  std::vector<double> joined(nodes);
+  std::vector<double> reg_temps(n_phys);
+  std::vector<double> reg_power(n_phys);
+  std::vector<double> node_power(nodes);
+  std::vector<double> flux(nodes);
 
   // --strict-math pins the transient kernel to the bit-identical
   // reference tier no matter how the grid was constructed.
   const thermal::StepKernel step_kernel = config_.strict_math
                                               ? thermal::StepKernel::kReference
                                               : grid_->step_kernel();
+
+  ThermalDfaResult result;
 
   // --- Fig. 2 main loop ------------------------------------------------------
   // Do { stop = true; for each block, for each instruction in forward
@@ -130,29 +190,29 @@ ThermalDfaResult ThermalDfa::analyze(const ir::Function& func,
       // expected temperature over incoming paths). The entry block also
       // folds in the boundary (machine at substrate temperature) with unit
       // weight, which covers the self-loop-into-entry corner case.
-      thermal::ThermalState state = grid_->initial_state();
+      double* in = joined.data();
+      std::fill(in, in + nodes, t_sub);
       const auto& preds = cfg.predecessors(b);
       const bool include_boundary = b == func.entry();
       if (!preds.empty() || include_boundary) {
-        const std::size_t nodes = state.node_temps.size();
         switch (config_.join_mode) {
           case JoinMode::kWeightedMean:
           case JoinMode::kUnweightedMean: {
-            double weight_sum = include_boundary ? 1.0 : 0.0;
-            std::vector<double> weights(preds.size(), 1.0);
-            for (std::size_t pi = 0; pi < preds.size(); ++pi) {
-              if (config_.join_mode == JoinMode::kWeightedMean) {
-                weights[pi] = std::max(freq[preds[pi]], 1e-12);
-              }
-              weight_sum += weights[pi];
-            }
+            const double weight_sum = tables.weight_sum[b];
             if (weight_sum > 0.0) {
-              for (std::size_t n = 0; n < nodes; ++n) {
-                double acc = include_boundary ? grid_->substrate_temp() : 0.0;
-                for (std::size_t pi = 0; pi < preds.size(); ++pi) {
-                  acc += weights[pi] * out_state[preds[pi]].node_temps[n];
+              // Per node: boundary, then each predecessor in order — the
+              // accumulation order of a node-by-node sum.
+              std::fill(in, in + nodes, include_boundary ? t_sub : 0.0);
+              const double* w =
+                  tables.join_weight.data() + tables.weight_begin[b];
+              for (std::size_t pi = 0; pi < preds.size(); ++pi) {
+                const double* out = &exit_state[preds[pi] * nodes];
+                for (std::size_t n = 0; n < nodes; ++n) {
+                  in[n] += w[pi] * out[n];
                 }
-                state.node_temps[n] = acc / weight_sum;
+              }
+              for (std::size_t n = 0; n < nodes; ++n) {
+                in[n] /= weight_sum;
               }
             }
             break;
@@ -160,70 +220,83 @@ ThermalDfaResult ThermalDfa::analyze(const ir::Function& func,
           case JoinMode::kMax: {
             // Upper envelope; the substrate-temperature initial state is
             // the floor (it also stands in for the entry boundary).
-            for (std::size_t n = 0; n < nodes; ++n) {
-              double worst = state.node_temps[n];
-              for (ir::BlockId p : preds) {
-                worst = std::max(worst, out_state[p].node_temps[n]);
+            for (ir::BlockId p : preds) {
+              const double* out = &exit_state[p * nodes];
+              for (std::size_t n = 0; n < nodes; ++n) {
+                in[n] = std::max(in[n], out[n]);
               }
-              state.node_temps[n] = worst;
             }
             break;
           }
         }
       }
 
-      // Transfer through the block, instruction by instruction.
-      const ir::BasicBlock& block = func.block(b);
-      const double block_freq = std::max(freq[b], 1e-12);
-      for (std::uint32_t i = 0; i < block.size(); ++i) {
-        const ir::Instruction& inst = block.instructions()[i];
-        std::vector<double> p =
-            instruction_power(inst, model, timing_, tech, n_phys);
+      // Exact block skip: the transfer through a block is a pure function
+      // of its entry state, so an entry bitwise equal to the last one
+      // would reproduce every state after it bit for bit and report a
+      // change of exactly 0 for each instruction.
+      double* prev_in = &entry_state[b * nodes];
+      if (ran[b] && std::memcmp(in, prev_in, state_bytes) == 0) {
+        continue;
+      }
+      ran[b] = 1;
+      std::memcpy(prev_in, in, state_bytes);
+
+      // Transfer through the block, instruction by instruction, in place
+      // on its exit state. reg_temps always holds the register
+      // temperatures of the current state: leakage input of the next
+      // instruction.
+      double* t = &exit_state[b * nodes];
+      std::memcpy(t, in, state_bytes);
+      if (config_.include_leakage) {
+        grid_->register_temps_into(t, reg_temps.data());
+      }
+      const std::size_t first = tables.block_first[b];
+      const std::size_t last = first + func.block(b).size();
+      for (std::size_t k = first; k < last; ++k) {
         if (config_.include_leakage) {
-          const auto temps = grid_->register_temps(state);
-          const auto leak = power_->leakage_power(fp, temps);
-          for (std::uint32_t r = 0; r < n_phys; ++r) {
-            p[r] += leak[r];
-          }
+          power_->leakage_power(fp, reg_temps, reg_power);
+        } else {
+          std::fill(reg_power.begin(), reg_power.end(), 0.0);
         }
-        // Frequency scaling: this instruction executes ~block_freq times
-        // per program run; model those executions as one contiguous
-        // window (same average power, frequency-scaled duration).
-        const double dt = static_cast<double>(timing_.cycles(inst)) *
-                          cycle_s * block_freq;
-        grid_->step_with(step_kernel, state, p, dt);
+        for (std::size_t e = tables.power_begin[k];
+             e < tables.power_begin[k + 1]; ++e) {
+          reg_power[tables.power_reg[e]] += tables.power_w[e];
+        }
+        grid_->spread_power_into(reg_power, node_power.data());
+        grid_->advance(step_kernel, t, node_power.data(), tables.plan[k],
+                       flux.data());
+        grid_->register_temps_into(t, reg_temps.data());
 
         // δ test against the previous iteration's state after I.
-        const std::size_t dense = block_first[b] + i;
-        cur_instr_temps[dense] = grid_->register_temps(state);
+        double* prev = &instr_temps[k * n_phys];
         double change = 0.0;
         for (std::uint32_t r = 0; r < n_phys; ++r) {
-          change = std::max(change,
-                            std::abs(cur_instr_temps[dense][r] -
-                                     prev_instr_temps[dense][r]));
+          change = std::max(change, std::abs(reg_temps[r] - prev[r]));
+          prev[r] = reg_temps[r];
         }
         iteration_delta = std::max(iteration_delta, change);
         if (change > config_.delta_k) {
           stop = false;
         }
       }
-      out_state[b] = std::move(state);
     }
 
     result.delta_history_k.push_back(iteration_delta);
     result.final_delta_k = iteration_delta;
-    std::swap(prev_instr_temps, cur_instr_temps);
   }
   result.converged = stop;
 
   // --- Outputs ----------------------------------------------------------------
+  const std::vector<ir::InstrRef> all_refs = func.all_instructions();
   result.per_instruction.reserve(all_refs.size());
-  for (std::size_t i = 0; i < all_refs.size(); ++i) {
+  for (std::size_t k = 0; k < all_refs.size(); ++k) {
     InstructionThermal it;
-    it.ref = all_refs[i];
-    it.reg_temps_k = prev_instr_temps[i];  // final iteration (post-swap)
+    it.ref = all_refs[k];
+    const double* temps = &instr_temps[k * n_phys];
+    it.reg_temps_k.assign(temps, temps + n_phys);
     it.peak_k = it.reg_temps_k.empty()
-                    ? grid_->substrate_temp()
+                    ? t_sub
                     : *std::max_element(it.reg_temps_k.begin(),
                                         it.reg_temps_k.end());
     result.peak_anywhere_k = std::max(result.peak_anywhere_k, it.peak_k);
@@ -231,7 +304,7 @@ ThermalDfaResult ThermalDfa::analyze(const ir::Function& func,
   }
 
   // Exit state: frequency-weighted merge over ret blocks.
-  std::vector<double> exit_temps(n_phys, grid_->substrate_temp());
+  std::vector<double> exit_temps(n_phys, t_sub);
   double w_sum = 0.0;
   std::vector<double> acc(n_phys, 0.0);
   for (const ir::BasicBlock& b : func.blocks()) {
@@ -240,9 +313,9 @@ ThermalDfaResult ThermalDfa::analyze(const ir::Function& func,
       continue;
     }
     const double w = std::max(freq[b.id()], 1e-12);
-    const auto temps = grid_->register_temps(out_state[b.id()]);
+    grid_->register_temps_into(&exit_state[b.id() * nodes], reg_temps.data());
     for (std::uint32_t r = 0; r < n_phys; ++r) {
-      acc[r] += w * temps[r];
+      acc[r] += w * reg_temps[r];
     }
     w_sum += w;
   }

@@ -4,12 +4,13 @@
 // found in the thermal models [1, 5]" to high-level instruction/variable
 // information. This header holds those coefficients. Values model a
 // 65 nm-class multi-ported register file; absolute numbers are synthetic
-// (see DESIGN.md, substitutions) but sized so that per-register power,
-// thermal time constants, and temperature deltas land in the ranges the RF
-// thermal literature reports (local rises of a few K to tens of K,
-// millisecond-scale settling).
+// (they stand in for the paper's emulation framework) but sized so that
+// per-register power, thermal time constants, and temperature deltas land
+// in the ranges the RF thermal literature reports (local rises of a few K
+// to tens of K, millisecond-scale settling).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 namespace tadfa::machine {
@@ -62,8 +63,12 @@ struct TechnologyParams {
   double cycle_seconds() const { return 1.0 / clock_hz; }
   double cell_area_m2() const { return cell_width_m * cell_height_m; }
 
-  /// Leakage power of one cell at temperature `t_k`.
-  double leakage_at(double t_k) const;
+  /// Leakage power of one cell at temperature `t_k`. Inline: the thermal
+  /// DFA evaluates it for every register on every instruction visit.
+  double leakage_at(double t_k) const {
+    return leakage_ref_w *
+           std::exp(leakage_temp_coeff * (t_k - leakage_ref_temp_k));
+  }
 
   /// Order-sensitive hash of every coefficient. Any parameter change
   /// (and only a parameter change) produces a new digest — the

@@ -37,6 +37,12 @@ class PowerModel {
       const machine::Floorplan& floorplan, std::span<const double> temps_k,
       const std::vector<bool>& gated_banks = {}) const;
 
+  /// The same, written to `out` (one entry per register) instead of a new
+  /// vector, for callers that evaluate leakage in a loop.
+  void leakage_power(const machine::Floorplan& floorplan,
+                     std::span<const double> temps_k, std::span<double> out,
+                     const std::vector<bool>& gated_banks = {}) const;
+
   /// Residual leakage fraction of a gated bank (state-retentive sleep).
   static constexpr double gated_leakage_fraction = 0.05;
 

@@ -134,29 +134,27 @@ ThermalGrid::ThermalGrid(const machine::Floorplan& floorplan,
   }
 
   // Register <-> node maps.
-  cell_nodes_.assign(cfg.num_registers, {});
+  reg_nodes_.clear();
+  reg_nodes_.reserve(n);
   node_owner_.assign(n, 0);
   for (machine::PhysReg r = 0; r < cfg.num_registers; ++r) {
     const std::size_t base_row =
         static_cast<std::size_t>(floorplan.row_of(r)) * subdivision;
     const std::size_t base_col =
         static_cast<std::size_t>(floorplan.col_of(r)) * subdivision;
-    auto& nodes = cell_nodes_[r];
-    nodes.reserve(static_cast<std::size_t>(subdivision) * subdivision);
     for (unsigned dr = 0; dr < subdivision; ++dr) {
       for (unsigned dc = 0; dc < subdivision; ++dc) {
         const std::size_t idx = node_index(base_row + dr, base_col + dc);
-        nodes.push_back(idx);
+        reg_nodes_.push_back(idx);
         node_owner_[idx] = r;
       }
     }
   }
 }
 
-const std::vector<std::size_t>& ThermalGrid::nodes_of(
-    machine::PhysReg r) const {
-  TADFA_ASSERT(r < cell_nodes_.size());
-  return cell_nodes_[r];
+std::span<const std::size_t> ThermalGrid::nodes_of(machine::PhysReg r) const {
+  TADFA_ASSERT(r < floorplan_->num_registers());
+  return {reg_nodes_.data() + r * nodes_per_cell(), nodes_per_cell()};
 }
 
 machine::PhysReg ThermalGrid::register_of(std::size_t node) const {
@@ -170,16 +168,66 @@ ThermalState ThermalGrid::initial_state() const {
   return s;
 }
 
-void ThermalGrid::spread_power(std::span<const double> reg_power_w,
-                               std::vector<double>& p) const {
-  p.assign(node_count(), 0.0);
-  const double per_node = 1.0 / (subdivision_ * subdivision_);
-  for (machine::PhysReg r = 0; r < reg_power_w.size(); ++r) {
+void ThermalGrid::spread_power_into(std::span<const double> reg_power_w,
+                                    double* node_power) const {
+  TADFA_ASSERT(reg_power_w.size() == floorplan_->num_registers());
+  // The cells partition the grid, so every node is written exactly once.
+  const std::size_t per_cell = nodes_per_cell();
+  const double per_node = 1.0 / static_cast<double>(per_cell);
+  const std::size_t* idx = reg_nodes_.data();
+  for (std::size_t r = 0; r < reg_power_w.size(); ++r, idx += per_cell) {
     const double share = reg_power_w[r] * per_node;
-    for (std::size_t idx : cell_nodes_[r]) {
-      p[idx] += share;
+    for (std::size_t k = 0; k < per_cell; ++k) {
+      node_power[idx[k]] = share;
     }
   }
+}
+
+void ThermalGrid::spread_power(std::span<const double> reg_power_w,
+                               std::vector<double>& p) const {
+  p.resize(node_count());
+  spread_power_into(reg_power_w, p.data());
+}
+
+template <bool kHasNorth, bool kHasSouth>
+void ThermalGrid::reference_flux_row(std::size_t row, const double* t,
+                                     const double* p, double* flux) const {
+  // Per node: p + g_v·(T_sub − t), then the W, E, N, S links in that
+  // order. Links across the grid's edge are skipped: as zero-conductance
+  // links they would add exactly +0.0, which leaves the sum unchanged.
+  const std::size_t cols = node_cols_;
+  const std::size_t begin = row * cols;
+  const std::size_t end = begin + cols;
+  const double* gv = g_vertical_.data();
+  const double ts = substrate_temp_;
+  const double gh = g_lateral_h_;
+  const double gn = g_lateral_v_;
+  auto node = [&](std::size_t i, bool has_w, bool has_e) {
+    const double ti = t[i];
+    double q = p[i] + gv[i] * (ts - ti);
+    if (has_w) {
+      q += gh * (t[i - 1] - ti);
+    }
+    if (has_e) {
+      q += gh * (t[i + 1] - ti);
+    }
+    if constexpr (kHasNorth) {
+      q += gn * (t[i - cols] - ti);
+    }
+    if constexpr (kHasSouth) {
+      q += gn * (t[i + cols] - ti);
+    }
+    flux[i] = q;
+  };
+  if (cols == 1) {
+    node(begin, false, false);
+    return;
+  }
+  node(begin, false, true);
+  for (std::size_t i = begin + 1; i + 1 < end; ++i) {
+    node(i, true, true);
+  }
+  node(end - 1, true, false);
 }
 
 void ThermalGrid::substep_with(StepKernel kernel, double* t, const double* p,
@@ -187,23 +235,21 @@ void ThermalGrid::substep_with(StepKernel kernel, double* t, const double* p,
   const std::size_t n = node_count();
   switch (kernel) {
     case StepKernel::kReference: {
-      // Single branch-free pass over nodes: the precomputed W/E/N/S slots
-      // replace nested row/col loops with edge checks. Absent neighbors
-      // contribute exactly 0 (g = 0, self-index), so the sums are
-      // bit-identical to the original edge-checked form.
-      const std::size_t* idx = nbr_index_.data();
-      const double* g = nbr_g_.data();
-      for (std::size_t i = 0; i < n; ++i, idx += 4, g += 4) {
-        const double ti = t[i];
-        double q = p[i] + g_vertical_[i] * (substrate_temp_ - ti);
-        q += g[0] * (t[idx[0]] - ti);
-        q += g[1] * (t[idx[1]] - ti);
-        q += g[2] * (t[idx[2]] - ti);
-        q += g[3] * (t[idx[3]] - ti);
-        flux[i] = q;
+      // Fluxes row by row (interior rows have both vertical links), then
+      // t += h·q / C — no reciprocal, no FMA.
+      const std::size_t rows = node_rows_;
+      if (rows == 1) {
+        reference_flux_row<false, false>(0, t, p, flux);
+      } else {
+        reference_flux_row<false, true>(0, t, p, flux);
+        for (std::size_t row = 1; row + 1 < rows; ++row) {
+          reference_flux_row<true, true>(row, t, p, flux);
+        }
+        reference_flux_row<true, false>(rows - 1, t, p, flux);
       }
+      const double* cap = cap_.data();
       for (std::size_t i = 0; i < n; ++i) {
-        t[i] += h * flux[i] / cap_[i];
+        t[i] += h * flux[i] / cap[i];
       }
       return;
     }
@@ -260,31 +306,40 @@ void ThermalGrid::step(ThermalState& state,
 void ThermalGrid::step_with(StepKernel kernel, ThermalState& state,
                             std::span<const double> reg_power_w,
                             double dt) const {
-  TADFA_ASSERT(kernel_available(kernel));
   TADFA_ASSERT(state.node_temps.size() == node_count());
   TADFA_ASSERT(reg_power_w.size() == floorplan_->num_registers());
-  TADFA_ASSERT(dt >= 0.0);
-  if (dt == 0.0) {
+  const StepPlan plan = plan_step(dt);
+  if (plan.substeps == 0) {
     return;
   }
-
-  // Spread per-register power uniformly over the cell's nodes. The
-  // scratch is thread_local — the DFA calls step() once per instruction
-  // per iteration, and per-call mallocs both cost time and serialize the
-  // driver's worker pool on the allocator.
+  // Thread-local scratch: repeated callers (thermal replay, tests) should
+  // neither pay per-call mallocs nor serialize a worker pool on the
+  // allocator.
   thread_local std::vector<double> scratch_power;
   thread_local std::vector<double> scratch_flux;
-  std::vector<double>& p = scratch_power;
-  spread_power(reg_power_w, p);
+  spread_power(reg_power_w, scratch_power);
+  scratch_flux.resize(node_count());
+  advance(kernel, state.node_temps.data(), scratch_power.data(), plan,
+          scratch_flux.data());
+}
 
-  const int substeps = std::max(1, static_cast<int>(std::ceil(dt / stable_dt_)));
-  const double h = dt / substeps;
+StepPlan ThermalGrid::plan_step(double dt) const {
+  TADFA_ASSERT(dt >= 0.0);
+  if (dt == 0.0) {
+    return {};
+  }
+  StepPlan plan;
+  plan.substeps = std::max(1, static_cast<int>(std::ceil(dt / stable_dt_)));
+  plan.h = dt / plan.substeps;
+  return plan;
+}
 
-  const std::size_t n = node_count();
-  std::vector<double>& flux = scratch_flux;
-  flux.resize(n);
-  for (int s = 0; s < substeps; ++s) {
-    substep_with(kernel, state.node_temps.data(), p.data(), flux.data(), h);
+void ThermalGrid::advance(StepKernel kernel, double* t,
+                          const double* node_power, const StepPlan& plan,
+                          double* flux) const {
+  TADFA_ASSERT(kernel_available(kernel));
+  for (int s = 0; s < plan.substeps; ++s) {
+    substep_with(kernel, t, node_power, flux, plan.h);
   }
 }
 
@@ -305,30 +360,22 @@ void ThermalGrid::step_batch(std::span<ThermalState> states,
 
   thread_local std::vector<double> scratch_powers;
   thread_local std::vector<double> scratch_flux;
-  scratch_powers.assign(n * lanes, 0.0);
+  scratch_powers.resize(n * lanes);
   scratch_flux.resize(n);
-  const double per_node = 1.0 / (subdivision_ * subdivision_);
   for (std::size_t lane = 0; lane < lanes; ++lane) {
-    double* p = scratch_powers.data() + lane * n;
-    const std::vector<double>& reg_power_w = reg_powers[lane];
-    for (machine::PhysReg r = 0; r < reg_power_w.size(); ++r) {
-      const double share = reg_power_w[r] * per_node;
-      for (std::size_t idx : cell_nodes_[r]) {
-        p[idx] += share;
-      }
-    }
+    spread_power_into(reg_powers[lane], scratch_powers.data() + lane * n);
   }
 
-  const int substeps = std::max(1, static_cast<int>(std::ceil(dt / stable_dt_)));
-  const double h = dt / substeps;
+  const StepPlan plan = plan_step(dt);
 
   // Substeps outer, lanes inner: every lane reuses the conductance tables
   // while they are hot. Each lane still sees the exact substep sequence a
   // sequential step() call would run, so the results are bit-identical.
-  for (int s = 0; s < substeps; ++s) {
+  for (int s = 0; s < plan.substeps; ++s) {
     for (std::size_t lane = 0; lane < lanes; ++lane) {
       substep_with(kernel_, states[lane].node_temps.data(),
-                   scratch_powers.data() + lane * n, scratch_flux.data(), h);
+                   scratch_powers.data() + lane * n, scratch_flux.data(),
+                   plan.h);
     }
   }
 }
@@ -546,17 +593,9 @@ std::vector<ThermalState> ThermalGrid::steady_state_batch(
     return states;
   }
 
-  std::vector<double> powers(n * lanes, 0.0);
-  const double per_node = 1.0 / (subdivision_ * subdivision_);
+  std::vector<double> powers(n * lanes);
   for (std::size_t lane = 0; lane < lanes; ++lane) {
-    TADFA_ASSERT(reg_powers[lane].size() == floorplan_->num_registers());
-    double* p = powers.data() + lane * n;
-    for (machine::PhysReg r = 0; r < reg_powers[lane].size(); ++r) {
-      const double share = reg_powers[lane][r] * per_node;
-      for (std::size_t idx : cell_nodes_[r]) {
-        p[idx] += share;
-      }
-    }
+    spread_power_into(reg_powers[lane], powers.data() + lane * n);
     states.push_back(warm_start != nullptr ? *warm_start : initial_state());
   }
 
@@ -647,15 +686,24 @@ std::vector<ThermalState> ThermalGrid::steady_state_batch(
 std::vector<double> ThermalGrid::register_temps(
     const ThermalState& state) const {
   TADFA_ASSERT(state.node_temps.size() == node_count());
-  std::vector<double> out(floorplan_->num_registers(), 0.0);
-  for (machine::PhysReg r = 0; r < out.size(); ++r) {
-    double sum = 0.0;
-    for (std::size_t idx : cell_nodes_[r]) {
-      sum += state.node_temps[idx];
-    }
-    out[r] = sum / static_cast<double>(cell_nodes_[r].size());
-  }
+  std::vector<double> out(floorplan_->num_registers());
+  register_temps_into(state.node_temps.data(), out.data());
   return out;
+}
+
+void ThermalGrid::register_temps_into(const double* t,
+                                      double* reg_temps) const {
+  const std::size_t per_cell = nodes_per_cell();
+  const double count = static_cast<double>(per_cell);
+  const std::size_t* idx = reg_nodes_.data();
+  const std::size_t regs = floorplan_->num_registers();
+  for (std::size_t r = 0; r < regs; ++r, idx += per_cell) {
+    double sum = 0.0;
+    for (std::size_t k = 0; k < per_cell; ++k) {
+      sum += t[idx[k]];
+    }
+    reg_temps[r] = sum / count;
+  }
 }
 
 double ThermalGrid::stored_energy(const ThermalState& state) const {

@@ -14,12 +14,14 @@
 // The model is linear; leakage's temperature dependence is closed by the
 // caller (power model) between steps.
 //
-// Solver tiers: the original scalar loops survive unchanged as the
-// bit-identical reference (StepKernel::kReference, always used when the
-// caller asks for --strict-math). The fast tiers trade bit-identity for
-// speed within a documented tolerance: kSimd keeps the reference's
-// per-element operation order over structure-of-arrays tables under
-// `#pragma omp simd`; kAvx2 hand-vectorizes with FMA and a hoisted
+// Solver tiers: the reference tier (StepKernel::kReference, always used
+// when the caller asks for --strict-math) walks the grid row by row with
+// fixed neighbour offsets, but performs exactly the original scalar loop's
+// operations in its order, so its results are bit-identical to it (a
+// golden digest in thermal_test pins them). The fast tiers trade
+// bit-identity for speed within a documented tolerance: kSimd keeps the
+// reference's per-element operation order over structure-of-arrays tables
+// under `#pragma omp simd`; kAvx2 hand-vectorizes with FMA and a hoisted
 // diagonal. Fast-tier steady_state() uses active-set Gauss-Seidel (only
 // nodes whose last update exceeded δ — and their neighbors — are
 // re-relaxed) and both tiers accept a warm start.
@@ -42,9 +44,18 @@ struct ThermalState {
   friend bool operator==(const ThermalState&, const ThermalState&) = default;
 };
 
+/// How a transient step of length dt is cut into explicit-Euler substeps:
+/// `substeps` substeps of `h` seconds each (none when dt is 0). A pure
+/// function of dt and the grid, so callers that step the same dt many
+/// times plan it once.
+struct StepPlan {
+  int substeps = 0;
+  double h = 0;
+};
+
 /// Solver tier for the transient step kernel.
 enum class StepKernel : std::uint8_t {
-  kReference = 0,  ///< original scalar loop; bit-identical across builds
+  kReference = 0,  ///< scalar loop; bit-identical across builds
   kSimd = 1,       ///< SoA + omp simd; same per-element operation order
   kAvx2 = 2,       ///< AVX2+FMA intrinsics; documented tolerance only
 };
@@ -98,8 +109,8 @@ class ThermalGrid {
   std::size_t node_rows() const { return node_rows_; }
   std::size_t node_cols() const { return node_cols_; }
 
-  /// Node indices covering a register's cell.
-  const std::vector<std::size_t>& nodes_of(machine::PhysReg r) const;
+  /// Node indices covering a register's cell (subdivision² of them).
+  std::span<const std::size_t> nodes_of(machine::PhysReg r) const;
 
   /// Register whose cell contains this node.
   machine::PhysReg register_of(std::size_t node) const;
@@ -117,8 +128,30 @@ class ThermalGrid {
   /// step() through an explicit tier, regardless of the constructed one.
   /// Callers needing reproducible results (--strict-math) pass
   /// StepKernel::kReference. The tier must be kernel_available().
+  /// Equivalent to spread_power_into + plan_step + advance.
   void step_with(StepKernel kernel, ThermalState& state,
                  std::span<const double> reg_power_w, double dt) const;
+
+  // Raw-buffer primitives behind step_with() and register_temps(), for
+  // callers that step many times and keep their own buffers. Node buffers
+  // hold node_count() doubles, register buffers num_registers().
+
+  /// The substep plan step_with() uses for `dt` (>= 0).
+  StepPlan plan_step(double dt) const;
+
+  /// Runs `plan` on node temperatures `t` under per-node power
+  /// `node_power` through `kernel`; `flux` is node-sized scratch.
+  void advance(StepKernel kernel, double* t, const double* node_power,
+               const StepPlan& plan, double* flux) const;
+
+  /// Spreads per-register watts uniformly over each cell's nodes,
+  /// writing every entry of `node_power`.
+  void spread_power_into(std::span<const double> reg_power_w,
+                         double* node_power) const;
+
+  /// Per-register temperatures (average of each cell's nodes) of the node
+  /// temperatures `t`, written to `reg_temps`.
+  void register_temps_into(const double* t, double* reg_temps) const;
 
   /// Advances `states.size()` independent transient states by the same
   /// `dt` in one pass over the shared tables (per-lane powers in
@@ -179,11 +212,20 @@ class ThermalGrid {
   std::size_t node_index(std::size_t row, std::size_t col) const {
     return row * node_cols_ + col;
   }
+  std::size_t nodes_per_cell() const {
+    return static_cast<std::size_t>(subdivision_) * subdivision_;
+  }
 
   /// One explicit-Euler substep of length `h` through `kernel`, updating
   /// `t` in place. `p` is per-node power, `flux` is caller scratch.
   void substep_with(StepKernel kernel, double* t, const double* p,
                     double* flux, double h) const;
+
+  /// The reference tier's flux for one node row: W, E, N, S links read at
+  /// offsets ±1 and ±cols, absent ones (grid edges) skipped.
+  template <bool kHasNorth, bool kHasSouth>
+  void reference_flux_row(std::size_t row, const double* t, const double* p,
+                          double* flux) const;
 
   /// Spreads per-register watts uniformly over each cell's nodes into
   /// `p` (resized to node_count()).
@@ -210,10 +252,9 @@ class ThermalGrid {
   double g_lateral_v_ = 0;               // north-south neighbor link (W/K)
   double stable_dt_ = 0;
 
-  // Flattened update tables for step()'s inner loop: 4 neighbor slots per
-  // node in fixed W/E/N/S order (absent neighbors point at the node
-  // itself with conductance 0, so the flux loop is branch-free and still
-  // bit-identical to the old edge-checked form).
+  // Flattened neighbor tables for the active-set steady-state solver: 4
+  // slots per node in fixed W/E/N/S order (absent neighbors point at the
+  // node itself with conductance 0, so relaxation is branch-free).
   std::vector<std::size_t> nbr_index_;   // 4 per node
   std::vector<double> nbr_g_;            // 4 per node (W/K; 0 = no link)
 
@@ -226,7 +267,9 @@ class ThermalGrid {
   std::vector<double> gv_tsub_;   // g_vertical · substrate_temp (W)
   std::vector<double> inv_cap_;   // 1 / C (K/J)
 
-  std::vector<std::vector<std::size_t>> cell_nodes_;  // per register
+  // Register -> node table: register r's cell covers nodes
+  // reg_nodes_[r·nodes_per_cell() ..], row-major within the cell.
+  std::vector<std::size_t> reg_nodes_;
   std::vector<machine::PhysReg> node_owner_;
 };
 

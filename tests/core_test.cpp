@@ -5,12 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <memory>
+#include <string>
+#include <utility>
 
 #include "core/access_model.hpp"
 #include "ir/builder.hpp"
 #include "core/critical.hpp"
 #include "core/thermal_dfa.hpp"
 #include "dataflow/liveness.hpp"
+#include "pipeline/analysis_manager.hpp"
 #include "regalloc/linear_scan.hpp"
 #include "regalloc/policy.hpp"
 #include "sim/interpreter.hpp"
@@ -485,6 +490,375 @@ TEST(JoinModes, StraightLineCodeIsJoinInsensitive) {
       EXPECT_NEAR(maps[i][r], maps[0][r], 1e-9);
     }
   }
+}
+
+}  // namespace
+}  // namespace tadfa::core
+
+// Oracle: the Fig. 2 loop as first written, dense per-visit power and
+// all, on nothing but the public ThermalGrid::step_with / register_temps
+// and PowerModel::leakage_power. ThermalDfa::analyze must reproduce it
+// bit for bit however it is organised internally.
+namespace tadfa::core {
+namespace {
+
+std::vector<double> oracle_instruction_power(
+    const ir::Instruction& inst, const AccessDistributionModel& model,
+    const machine::TimingModel& timing,
+    const machine::TechnologyParams& tech, std::uint32_t n_phys) {
+  std::vector<double> p(n_phys, 0.0);
+  const double window_s =
+      static_cast<double>(timing.cycles(inst)) * tech.cycle_seconds();
+
+  auto add = [&](ir::Reg v, double energy) {
+    const std::vector<double>& dist = model.distribution(v);
+    const double watts = energy / window_s;
+    for (std::uint32_t r = 0; r < n_phys; ++r) {
+      if (dist[r] != 0.0) {
+        p[r] += watts * dist[r];
+      }
+    }
+  };
+
+  for (ir::Reg u : inst.uses()) {
+    add(u, tech.read_energy_j);
+  }
+  if (auto d = inst.def()) {
+    add(*d, tech.write_energy_j);
+  }
+  return p;
+}
+
+ThermalDfaResult oracle_analyze(const thermal::ThermalGrid& grid,
+                                const power::PowerModel& power,
+                                const machine::TimingModel& timing,
+                                const ThermalDfaConfig& config,
+                                const std::vector<double>* profile,
+                                const ir::Function& func,
+                                const AccessDistributionModel& model) {
+  pipeline::AnalysisManager am;
+  const machine::Floorplan& fp = grid.floorplan();
+  const machine::TechnologyParams& tech = fp.config().tech;
+  const std::uint32_t n_phys = fp.num_registers();
+
+  const dataflow::Cfg& cfg = am.get<dataflow::Cfg>(func);
+
+  std::vector<double> freq;
+  if (profile != nullptr) {
+    freq = *profile;
+    const double entry_count = std::max(freq[func.entry()], 1.0);
+    for (double& f : freq) {
+      f = std::max(f / entry_count, 0.0);
+    }
+  } else {
+    freq = pipeline::block_frequencies(am, func, config.trip_count_guess);
+  }
+
+  ThermalDfaResult result;
+
+  std::vector<thermal::ThermalState> out_state(func.block_count(),
+                                               grid.initial_state());
+  const std::vector<ir::InstrRef> all_refs = func.all_instructions();
+  std::vector<std::vector<double>> prev_instr_temps(
+      all_refs.size(), std::vector<double>(n_phys, grid.substrate_temp()));
+  std::vector<std::vector<double>> cur_instr_temps = prev_instr_temps;
+
+  std::vector<std::size_t> block_first(func.block_count(), 0);
+  {
+    std::size_t idx = 0;
+    for (const ir::BasicBlock& b : func.blocks()) {
+      block_first[b.id()] = idx;
+      idx += b.size();
+    }
+  }
+
+  const double cycle_s = tech.cycle_seconds();
+  const thermal::StepKernel step_kernel = config.strict_math
+                                              ? thermal::StepKernel::kReference
+                                              : grid.step_kernel();
+
+  bool stop = false;
+  while (!stop && result.iterations < config.max_iterations) {
+    stop = true;
+    ++result.iterations;
+    double iteration_delta = 0.0;
+
+    for (ir::BlockId b : cfg.reverse_post_order()) {
+      if (!cfg.reachable(b)) {
+        continue;
+      }
+      thermal::ThermalState state = grid.initial_state();
+      const auto& preds = cfg.predecessors(b);
+      const bool include_boundary = b == func.entry();
+      if (!preds.empty() || include_boundary) {
+        const std::size_t nodes = state.node_temps.size();
+        switch (config.join_mode) {
+          case JoinMode::kWeightedMean:
+          case JoinMode::kUnweightedMean: {
+            double weight_sum = include_boundary ? 1.0 : 0.0;
+            std::vector<double> weights(preds.size(), 1.0);
+            for (std::size_t pi = 0; pi < preds.size(); ++pi) {
+              if (config.join_mode == JoinMode::kWeightedMean) {
+                weights[pi] = std::max(freq[preds[pi]], 1e-12);
+              }
+              weight_sum += weights[pi];
+            }
+            if (weight_sum > 0.0) {
+              for (std::size_t n = 0; n < nodes; ++n) {
+                double acc = include_boundary ? grid.substrate_temp() : 0.0;
+                for (std::size_t pi = 0; pi < preds.size(); ++pi) {
+                  acc += weights[pi] * out_state[preds[pi]].node_temps[n];
+                }
+                state.node_temps[n] = acc / weight_sum;
+              }
+            }
+            break;
+          }
+          case JoinMode::kMax: {
+            for (std::size_t n = 0; n < nodes; ++n) {
+              double worst = state.node_temps[n];
+              for (ir::BlockId p : preds) {
+                worst = std::max(worst, out_state[p].node_temps[n]);
+              }
+              state.node_temps[n] = worst;
+            }
+            break;
+          }
+        }
+      }
+
+      const ir::BasicBlock& block = func.block(b);
+      const double block_freq = std::max(freq[b], 1e-12);
+      for (std::uint32_t i = 0; i < block.size(); ++i) {
+        const ir::Instruction& inst = block.instructions()[i];
+        std::vector<double> p =
+            oracle_instruction_power(inst, model, timing, tech, n_phys);
+        if (config.include_leakage) {
+          const auto temps = grid.register_temps(state);
+          const auto leak = power.leakage_power(fp, temps);
+          for (std::uint32_t r = 0; r < n_phys; ++r) {
+            p[r] += leak[r];
+          }
+        }
+        const double dt = static_cast<double>(timing.cycles(inst)) *
+                          cycle_s * block_freq;
+        grid.step_with(step_kernel, state, p, dt);
+
+        const std::size_t dense = block_first[b] + i;
+        cur_instr_temps[dense] = grid.register_temps(state);
+        double change = 0.0;
+        for (std::uint32_t r = 0; r < n_phys; ++r) {
+          change = std::max(change,
+                            std::abs(cur_instr_temps[dense][r] -
+                                     prev_instr_temps[dense][r]));
+        }
+        iteration_delta = std::max(iteration_delta, change);
+        if (change > config.delta_k) {
+          stop = false;
+        }
+      }
+      out_state[b] = std::move(state);
+    }
+
+    result.delta_history_k.push_back(iteration_delta);
+    result.final_delta_k = iteration_delta;
+    std::swap(prev_instr_temps, cur_instr_temps);
+  }
+  result.converged = stop;
+
+  result.per_instruction.reserve(all_refs.size());
+  for (std::size_t i = 0; i < all_refs.size(); ++i) {
+    InstructionThermal it;
+    it.ref = all_refs[i];
+    it.reg_temps_k = prev_instr_temps[i];
+    it.peak_k = it.reg_temps_k.empty()
+                    ? grid.substrate_temp()
+                    : *std::max_element(it.reg_temps_k.begin(),
+                                        it.reg_temps_k.end());
+    result.peak_anywhere_k = std::max(result.peak_anywhere_k, it.peak_k);
+    result.per_instruction.push_back(std::move(it));
+  }
+
+  std::vector<double> exit_temps(n_phys, grid.substrate_temp());
+  double w_sum = 0.0;
+  std::vector<double> acc(n_phys, 0.0);
+  for (const ir::BasicBlock& b : func.blocks()) {
+    if (!cfg.reachable(b.id()) || !b.has_terminator() ||
+        b.terminator().opcode() != ir::Opcode::kRet) {
+      continue;
+    }
+    const double w = std::max(freq[b.id()], 1e-12);
+    const auto temps = grid.register_temps(out_state[b.id()]);
+    for (std::uint32_t r = 0; r < n_phys; ++r) {
+      acc[r] += w * temps[r];
+    }
+    w_sum += w;
+  }
+  if (w_sum > 0.0) {
+    for (std::uint32_t r = 0; r < n_phys; ++r) {
+      exit_temps[r] = acc[r] / w_sum;
+    }
+  }
+  result.exit_reg_temps_k = std::move(exit_temps);
+  result.exit_stats = thermal::compute_map_stats(fp, result.exit_reg_temps_k);
+  return result;
+}
+
+// One machine of the oracle matrix, with its own allocation floorplan.
+struct OracleMachine {
+  machine::Floorplan fp;
+  thermal::ThermalGrid grid;
+  power::PowerModel power{fp.config()};
+  machine::TimingModel timing;
+
+  OracleMachine(machine::RegisterFileConfig config, unsigned subdivision)
+      : fp(std::move(config)), grid(fp, subdivision) {}
+};
+
+enum class OracleModel { kExact, kFirstFit, kUniform };
+
+// Runs both implementations and compares everything but wall-clock time;
+// returns ThermalDfa's result.
+ThermalDfaResult expect_matches_oracle(const OracleMachine& m,
+                                       const ir::Function& func,
+                                       OracleModel which,
+                                       const ThermalDfaConfig& cfg,
+                                       bool with_profile,
+                                       const std::string& label) {
+  auto policy = regalloc::make_policy("first_free");
+  regalloc::LinearScanAllocator allocator(m.fp, *policy);
+  const auto alloc = allocator.allocate(func);
+  std::unique_ptr<AccessDistributionModel> model;
+  switch (which) {
+    case OracleModel::kExact:
+      model = std::make_unique<ExactAssignmentModel>(alloc.func, m.fp,
+                                                     alloc.assignment);
+      break;
+    case OracleModel::kFirstFit: {
+      const dataflow::Cfg cfg_graph(alloc.func);
+      const dataflow::Liveness lv(cfg_graph);
+      model = std::make_unique<FirstFitPredictionModel>(alloc.func, m.fp,
+                                                        lv.max_pressure());
+      break;
+    }
+    case OracleModel::kUniform:
+      model = std::make_unique<UniformPredictionModel>(alloc.func, m.fp);
+      break;
+  }
+
+  // A synthetic profile with zero counts in it, so the 1e-12 frequency
+  // floor is exercised too.
+  std::vector<double> profile(alloc.func.block_count());
+  for (std::size_t b = 0; b < profile.size(); ++b) {
+    profile[b] = static_cast<double>((b * 37 + 3) % 17) * 3.0;
+  }
+
+  ThermalDfa dfa(m.grid, m.power, m.timing, cfg);
+  if (with_profile) {
+    dfa.set_block_profile(profile);
+  }
+  ThermalDfaResult got = dfa.analyze(alloc.func, *model);
+  const ThermalDfaResult want =
+      oracle_analyze(m.grid, m.power, m.timing, cfg,
+                     with_profile ? &profile : nullptr, alloc.func, *model);
+  got.analysis_seconds = 0;
+  EXPECT_EQ(got, want) << label << " iterations " << got.iterations << " vs "
+                       << want.iterations;
+  return got;
+}
+
+TEST(DfaOracle, MatchesTheFig2LoopBitForBitAcrossTheMatrix) {
+  std::vector<std::pair<std::string, ir::Function>> programs;
+  for (auto& k : workload::standard_suite()) {
+    programs.emplace_back(k.name, std::move(k.func));
+  }
+  for (std::uint64_t seed : {11u, 29u, 47u}) {
+    workload::RandomProgramConfig rc;
+    rc.seed = seed;
+    rc.target_instructions = 60;
+    rc.value_pool = 10;
+    rc.irregularity = 0.5;
+    programs.emplace_back("random_" + std::to_string(seed),
+                          workload::random_program(rc));
+  }
+
+  std::vector<std::unique_ptr<OracleMachine>> machines;
+  std::vector<std::string> machine_names;
+  for (const auto& [name, config] :
+       {std::pair{"default", machine::RegisterFileConfig::default_config()},
+        std::pair{"large", machine::RegisterFileConfig::large_config()}}) {
+    for (unsigned sub : {1u, 2u}) {
+      machines.push_back(std::make_unique<OracleMachine>(config, sub));
+      machine_names.push_back(std::string(name) + "/" + std::to_string(sub));
+    }
+  }
+
+  // Every (join, leakage, model, profile) combination runs at least once;
+  // the rotation also pairs every program with several combinations.
+  constexpr JoinMode kJoins[] = {JoinMode::kWeightedMean,
+                                 JoinMode::kUnweightedMean, JoinMode::kMax};
+  constexpr OracleModel kModels[] = {OracleModel::kExact,
+                                     OracleModel::kFirstFit,
+                                     OracleModel::kUniform};
+  constexpr std::size_t kCombos = 3 * 2 * 3 * 2;
+  ASSERT_GE(programs.size() * machines.size(), kCombos);
+  std::size_t case_index = 0;
+  for (const auto& [prog_name, func] : programs) {
+    for (std::size_t mi = 0; mi < machines.size(); ++mi, ++case_index) {
+      std::size_t c = case_index % kCombos;
+      ThermalDfaConfig cfg;
+      cfg.join_mode = kJoins[c % 3];
+      c /= 3;
+      cfg.include_leakage = c % 2 == 0;
+      c /= 2;
+      const OracleModel model = kModels[c % 3];
+      c /= 3;
+      const bool with_profile = c % 2 == 1;
+      const std::string label =
+          prog_name + " on " + machine_names[mi] + " join " +
+          std::to_string(static_cast<int>(cfg.join_mode)) + " leakage " +
+          std::to_string(cfg.include_leakage) + " model " +
+          std::to_string(static_cast<int>(model)) + " profile " +
+          std::to_string(with_profile);
+      expect_matches_oracle(*machines[mi], func, model, cfg, with_profile,
+                            label);
+    }
+  }
+}
+
+TEST(DfaOracle, MatchesWhenCappedBeforeConvergence) {
+  const OracleMachine m(machine::RegisterFileConfig::default_config(), 1);
+  auto k = workload::make_crc32(32);
+  ThermalDfaConfig cfg;
+  cfg.delta_k = 1e-9;
+  cfg.max_iterations = 4;
+  const ThermalDfaResult r = expect_matches_oracle(
+      m, k.func, OracleModel::kExact, cfg, false, "crc32");
+  EXPECT_FALSE(r.converged);
+  EXPECT_EQ(r.iterations, 4);
+  EXPECT_GT(r.final_delta_k, cfg.delta_k);
+}
+
+TEST(DfaOracle, StraightLineConvergesInTwoIterationsWithZeroDelta) {
+  // One block, entered only from the boundary: iteration 2 starts from
+  // the same state as iteration 1, so it reproduces it exactly.
+  const OracleMachine m(machine::RegisterFileConfig::default_config(), 1);
+  ir::Function f("straight");
+  ir::IRBuilder b(f);
+  const auto blk = b.create_block();
+  b.set_insert_point(blk);
+  const ir::Reg x = b.const_int(7);
+  const ir::Reg y = b.mul(ir::IRBuilder::r(x), ir::IRBuilder::r(x));
+  const ir::Reg z = b.add(ir::IRBuilder::r(y), ir::IRBuilder::r(x));
+  b.ret(ir::IRBuilder::r(z));
+  // A δ below the first iteration's change, so a second one runs.
+  ThermalDfaConfig cfg;
+  cfg.delta_k = 1e-6;
+  const ThermalDfaResult r = expect_matches_oracle(
+      m, f, OracleModel::kExact, cfg, false, "straight");
+  EXPECT_TRUE(r.converged);
+  EXPECT_EQ(r.iterations, 2);
+  EXPECT_EQ(r.final_delta_k, 0.0);
 }
 
 }  // namespace

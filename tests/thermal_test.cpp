@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "support/statistics.hpp"
 #include "thermal/grid.hpp"
@@ -444,6 +446,138 @@ TEST(Batch, SteadyStateBatchMatchesSequentialReferenceBitForBit) {
     EXPECT_EQ(infos[lane].sweeps, seq_info.sweeps) << "lane=" << lane;
     EXPECT_TRUE(infos[lane].converged) << "lane=" << lane;
   }
+}
+
+// ------------------------------------------------ reference golden digest ----
+
+// FNV-1a over the bit patterns of every node temperature.
+std::uint64_t state_digest(const ThermalState& s, std::uint64_t h) {
+  for (double t : s.node_temps) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &t, sizeof bits);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+using Power = std::vector<double>;
+
+// Per-register powers that change with every call and leave some cells
+// unpowered.
+Power varying_power(const machine::Floorplan& fp, int call) {
+  Power p(fp.num_registers(), 0.0);
+  for (std::size_t r = 0; r < p.size(); ++r) {
+    const std::size_t level = (r * 7 + static_cast<std::size_t>(call) * 3) % 11;
+    p[r] = level < 3 ? 0.0 : 2.5e-4 * static_cast<double>(level);
+  }
+  return p;
+}
+
+// A fixed sequence of reference steps: dt = 0, below the stable step,
+// exactly one stable step, a few substeps, and many substeps.
+template <typename StepFn>
+std::uint64_t reference_sequence_digest(const ThermalGrid& grid,
+                                        StepFn&& step) {
+  const double stable = grid.max_stable_dt();
+  const double dts[] = {0.0,     0.37 * stable, stable, 2.5 * stable,
+                        3.3e-10, 41.7 * stable, 0.0,    7.25 * stable};
+  ThermalState s = grid.initial_state();
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  int call = 0;
+  for (double dt : dts) {
+    step(s, varying_power(grid.floorplan(), call), dt);
+    h = state_digest(s, h);
+    ++call;
+  }
+  return h;
+}
+
+// Recorded from the scalar reference loop that predates the row-structured
+// kernel. Only + − × ÷ are involved, so the digest holds across build types
+// as long as the compiler does not contract into FMA.
+TEST(ReferenceKernel, GoldenDigestAcrossMachinesAndSubdivisions) {
+#if defined(__FMA__)
+  GTEST_SKIP() << "FMA contraction changes the reference kernel's rounding";
+#endif
+  struct Case {
+    machine::RegisterFileConfig config;
+    unsigned subdivision;
+    std::uint64_t golden;
+  };
+  const Case cases[] = {
+      {machine::RegisterFileConfig::default_config(), 1, 0x0c4518374f41b64bull},
+      {machine::RegisterFileConfig::default_config(), 2, 0xd23cc2992598cc54ull},
+      {machine::RegisterFileConfig::default_config(), 4, 0xf645ca231f54ccdaull},
+      {machine::RegisterFileConfig::large_config(), 1, 0x34c8fa14e5b0ad00ull},
+      {machine::RegisterFileConfig::large_config(), 2, 0xe234b871f40248fcull},
+      {machine::RegisterFileConfig::large_config(), 4, 0xa0288c8bc9366f30ull},
+  };
+  for (const Case& c : cases) {
+    const machine::Floorplan fp(c.config);
+    // A fast-tier grid on purpose: step_with(kReference) must not depend
+    // on the grid's constructed tier.
+    const ThermalGrid grid(fp, c.subdivision, StepKernel::kSimd);
+    auto step = [&](ThermalState& s, const Power& p, double dt) {
+      grid.step_with(StepKernel::kReference, s, p, dt);
+    };
+    const std::uint64_t digest = reference_sequence_digest(grid, step);
+    EXPECT_EQ(digest, c.golden)
+        << "registers=" << c.config.num_registers
+        << " subdivision=" << c.subdivision << std::hex << " digest=0x"
+        << digest;
+  }
+}
+
+TEST(ReferenceKernel, RawBufferAdvanceMatchesStepWithBitForBit) {
+  // plan_step + spread_power_into + advance on caller buffers is the same
+  // stepping path as step_with, on every tier.
+  std::vector<StepKernel> kernels = fast_kernels();
+  kernels.push_back(StepKernel::kReference);
+  for (const auto& config : {machine::RegisterFileConfig::default_config(),
+                             machine::RegisterFileConfig::large_config()}) {
+    const machine::Floorplan fp(config);
+    for (unsigned sub : {1u, 2u, 4u}) {
+      const ThermalGrid grid(fp, sub, StepKernel::kReference);
+      for (StepKernel kernel : kernels) {
+        std::vector<double> node_power(grid.node_count());
+        std::vector<double> flux(grid.node_count());
+        auto step = [&](ThermalState& s, const Power& p, double dt) {
+          grid.step_with(kernel, s, p, dt);
+        };
+        auto advance = [&](ThermalState& s, const Power& p, double dt) {
+          grid.spread_power_into(p, node_power.data());
+          grid.advance(kernel, s.node_temps.data(), node_power.data(),
+                       grid.plan_step(dt), flux.data());
+        };
+        EXPECT_EQ(reference_sequence_digest(grid, advance),
+                  reference_sequence_digest(grid, step))
+            << "registers=" << config.num_registers << " sub=" << sub
+            << " kernel=" << to_string(kernel);
+      }
+      // register_temps_into is what register_temps returns.
+      ThermalState s = grid.initial_state();
+      grid.step(s, varying_power(fp, 1), 3.0 * grid.max_stable_dt());
+      std::vector<double> temps(fp.num_registers());
+      grid.register_temps_into(s.node_temps.data(), temps.data());
+      EXPECT_EQ(temps, grid.register_temps(s));
+    }
+  }
+}
+
+TEST(ReferenceKernel, PlanStepSplitsAtTheStableStep) {
+  const auto fp = small_fp();
+  const ThermalGrid grid(fp, 2);
+  const double stable = grid.max_stable_dt();
+  EXPECT_EQ(grid.plan_step(0.0).substeps, 0);
+  EXPECT_EQ(grid.plan_step(0.5 * stable).substeps, 1);
+  EXPECT_EQ(grid.plan_step(0.5 * stable).h, 0.5 * stable);
+  EXPECT_EQ(grid.plan_step(stable).substeps, 1);
+  const StepPlan many = grid.plan_step(7.5 * stable);
+  EXPECT_EQ(many.substeps, 8);
+  EXPECT_EQ(many.h, 7.5 * stable / 8);
 }
 
 TEST(ConfigDigest, FoldsKernelTierOnlyWhenNotReference) {

@@ -1,14 +1,19 @@
 #!/usr/bin/env python3
 """Docs lint: intra-repo link integrity plus CLI flag-table drift.
 
-Two checks, both stdlib-only:
+Three checks, all stdlib-only:
 
 1. Every relative markdown link in README.md and docs/*.md must point
    at a file that exists in the repo. External links (with a scheme),
    pure anchors, and links that resolve outside the repo root (GitHub
    web paths like the CI badge) are skipped.
 
-2. The flag tables in docs/OPERATIONS.md must match the binary's own
+2. Every markdown file named in the code under src/, bench/, tests/ and
+   tools/ must exist: a path resolves against the repository root or the
+   naming file's directory, and a bare file name may also match any
+   markdown file in the repository.
+
+3. The flag tables in docs/OPERATIONS.md must match the binary's own
    --help output, per subcommand and in both directions: a flag added
    to the CLI without a table row fails, and so does a table row for a
    flag the CLI no longer has.
@@ -55,6 +60,41 @@ def check_links(errors):
                     errors.append(
                         f"{md.relative_to(REPO)}:{lineno}: broken link "
                         f"'{target}'"
+                    )
+
+
+# A markdown file name inside code or comments ("docs/FORMATS.md").
+MD_NAME_RE = re.compile(r"(?<![\w./-])([\w./-]*\w\.md)\b")
+CODE_DIRS = ["src", "bench", "tests", "tools"]
+CODE_SUFFIXES = {".cpp", ".hpp", ".h", ".cc", ".py", ".txt", ".cmake"}
+# Build trees may sit inside the repository; they are not its docs.
+SKIP_DIRS = {"build", ".bench_build", ".git"}
+
+
+def repo_markdown():
+    return [
+        p
+        for p in REPO.rglob("*.md")
+        if not SKIP_DIRS.intersection(p.relative_to(REPO).parts)
+        and not p.relative_to(REPO).parts[0].startswith("build-")
+    ]
+
+
+def check_md_names(errors):
+    basenames = {p.name for p in repo_markdown()}
+    for top in CODE_DIRS:
+        for path in sorted((REPO / top).rglob("*")):
+            if not path.is_file() or path.suffix not in CODE_SUFFIXES:
+                continue
+            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                for name in MD_NAME_RE.findall(line):
+                    if (REPO / name).exists() or (path.parent / name).exists():
+                        continue
+                    if "/" not in name and name in basenames:
+                        continue
+                    errors.append(
+                        f"{path.relative_to(REPO)}:{lineno}: names "
+                        f"'{name}', which does not exist"
                     )
 
 
@@ -120,12 +160,13 @@ def main():
     ap.add_argument(
         "--skip-flags",
         action="store_true",
-        help="only check links (no built binary needed)",
+        help="only check links and file names (no built binary needed)",
     )
     args = ap.parse_args()
 
     errors = []
     check_links(errors)
+    check_md_names(errors)
     if not args.skip_flags:
         tadfa = Path(args.tadfa)
         if not tadfa.exists():
@@ -138,7 +179,7 @@ def main():
     if errors:
         print(f"{len(errors)} docs error(s)", file=sys.stderr)
         return 1
-    print("docs OK: links resolve, flag tables match --help")
+    print("docs OK: links and named files resolve, flag tables match --help")
     return 0
 
 
