@@ -169,6 +169,14 @@ ThermalDfaResult ThermalDfa::analyze(const ir::Function& func,
                                               ? thermal::StepKernel::kReference
                                               : grid_->step_kernel();
 
+  // Register domain: at one node per cell, node r is register r, so the
+  // state is its own register-temperature buffer and the register powers
+  // are the node powers; the spread and the averaging would be exact
+  // copies and are skipped.
+  const bool reg_domain = grid_->registers_are_nodes();
+  double* const step_power = reg_domain ? reg_power.data()
+                                        : node_power.data();
+
   ThermalDfaResult result;
 
   // --- Fig. 2 main loop ------------------------------------------------------
@@ -243,19 +251,19 @@ ThermalDfaResult ThermalDfa::analyze(const ir::Function& func,
       std::memcpy(prev_in, in, state_bytes);
 
       // Transfer through the block, instruction by instruction, in place
-      // on its exit state. reg_temps always holds the register
-      // temperatures of the current state: leakage input of the next
-      // instruction.
+      // on its exit state. temps always holds the register temperatures
+      // of the current state: leakage input of the next instruction.
       double* t = &exit_state[b * nodes];
       std::memcpy(t, in, state_bytes);
-      if (config_.include_leakage) {
+      const double* temps = reg_domain ? t : reg_temps.data();
+      if (config_.include_leakage && !reg_domain) {
         grid_->register_temps_into(t, reg_temps.data());
       }
       const std::size_t first = tables.block_first[b];
       const std::size_t last = first + func.block(b).size();
       for (std::size_t k = first; k < last; ++k) {
         if (config_.include_leakage) {
-          power_->leakage_power(fp, reg_temps, reg_power);
+          power_->leakage_power(fp, {temps, n_phys}, reg_power);
         } else {
           std::fill(reg_power.begin(), reg_power.end(), 0.0);
         }
@@ -263,17 +271,21 @@ ThermalDfaResult ThermalDfa::analyze(const ir::Function& func,
              e < tables.power_begin[k + 1]; ++e) {
           reg_power[tables.power_reg[e]] += tables.power_w[e];
         }
-        grid_->spread_power_into(reg_power, node_power.data());
-        grid_->advance(step_kernel, t, node_power.data(), tables.plan[k],
+        if (!reg_domain) {
+          grid_->spread_power_into(reg_power, node_power.data());
+        }
+        grid_->advance(step_kernel, t, step_power, tables.plan[k],
                        flux.data());
-        grid_->register_temps_into(t, reg_temps.data());
+        if (!reg_domain) {
+          grid_->register_temps_into(t, reg_temps.data());
+        }
 
         // δ test against the previous iteration's state after I.
         double* prev = &instr_temps[k * n_phys];
         double change = 0.0;
         for (std::uint32_t r = 0; r < n_phys; ++r) {
-          change = std::max(change, std::abs(reg_temps[r] - prev[r]));
-          prev[r] = reg_temps[r];
+          change = std::max(change, std::abs(temps[r] - prev[r]));
+          prev[r] = temps[r];
         }
         iteration_delta = std::max(iteration_delta, change);
         if (change > config_.delta_k) {

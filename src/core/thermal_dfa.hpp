@@ -22,8 +22,11 @@
 // transfer is a pure function of that state, so every state it would
 // produce is bit-identical and every change it would report is exactly 0
 // — skipping it leaves Fig. 2's per-instruction δ test and its verdict
-// unchanged. Results are bit-identical to the literal loop (an oracle copy
-// of it lives in tests/core_test.cpp).
+// unchanged. At one grid node per cell the state buffer doubles as the
+// register temperatures and the register powers as the node powers (the
+// spread and the averaging would be exact copies). Results are
+// bit-identical to the literal loop (an oracle copy of it lives in
+// tests/core_test.cpp).
 //
 // Differences from the classical framework (dataflow/framework.hpp) that
 // the paper calls out:

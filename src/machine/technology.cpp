@@ -1,5 +1,6 @@
 #include "machine/technology.hpp"
 
+#include "power/leakage.hpp"
 #include "support/serialize.hpp"
 
 namespace tadfa::machine {
@@ -20,6 +21,12 @@ RegisterFileConfig RegisterFileConfig::large_config() {
   c.cols = 16;
   c.banks = 4;
   return c;
+}
+
+double TechnologyParams::leakage_at(double t_k) const {
+  double p = 0.0;
+  power::leakage_into(*this, {&t_k, 1}, {&p, 1});
+  return p;
 }
 
 bool RegisterFileConfig::valid() const {

@@ -10,7 +10,6 @@
 // to tens of K, millisecond-scale settling).
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 
 namespace tadfa::machine {
@@ -63,12 +62,12 @@ struct TechnologyParams {
   double cycle_seconds() const { return 1.0 / clock_hz; }
   double cell_area_m2() const { return cell_width_m * cell_height_m; }
 
-  /// Leakage power of one cell at temperature `t_k`. Inline: the thermal
-  /// DFA evaluates it for every register on every instruction visit.
-  double leakage_at(double t_k) const {
-    return leakage_ref_w *
-           std::exp(leakage_temp_coeff * (t_k - leakage_ref_temp_k));
-  }
+  /// Leakage power of one cell at temperature `t_k`. Computed by the
+  /// library's one leakage kernel (power/leakage.hpp), an in-tree exp
+  /// within 1 ULP of the exact value rather than std::exp, so it equals
+  /// PowerModel::leakage_power bit for bit; leakage_at(leakage_ref_temp_k)
+  /// is exactly leakage_ref_w.
+  double leakage_at(double t_k) const;
 
   /// Order-sensitive hash of every coefficient. Any parameter change
   /// (and only a parameter change) produces a new digest — the

@@ -333,6 +333,9 @@ std::uint64_t ResultCache::context_digest(const PipelineContext& ctx) {
   h.mix(static_cast<std::uint64_t>(ctx.dfa_config.include_leakage));
   h.mix(static_cast<std::uint64_t>(ctx.dfa_config.join_mode));
   h.mix(ctx.policy_seed);
+  // Leakage comes from the in-tree exp kernel (power/leakage.hpp), not
+  // std::exp: results computed before it must not be served.
+  h.mix(std::string_view{"leakage.exp_kernel.v1"});
   // Mixed only when set so every digest computed before the flag existed
   // stays valid; a strict-math run must never share a key with a
   // fast-tier run (the grid digest separates tiers, this separates the

@@ -1,5 +1,6 @@
 #include "power/model.hpp"
 
+#include "power/leakage.hpp"
 #include "support/assert.hpp"
 #include "support/serialize.hpp"
 
@@ -37,16 +38,16 @@ void PowerModel::leakage_power(const machine::Floorplan& floorplan,
                                const std::vector<bool>& gated_banks) const {
   TADFA_ASSERT(temps_k.size() == floorplan.num_registers());
   TADFA_ASSERT(out.size() == temps_k.size());
+  leakage_into(config_.tech, temps_k, out);
+  // Ungated calls (every DFA visit) skip the per-register bank lookup.
+  if (gated_banks.empty()) {
+    return;
+  }
   for (machine::PhysReg r = 0; r < temps_k.size(); ++r) {
-    double p = config_.tech.leakage_at(temps_k[r]);
-    // Ungated calls (every DFA visit) skip the per-register bank lookup.
-    if (!gated_banks.empty()) {
-      const std::uint32_t bank = floorplan.bank_of(r);
-      if (bank < gated_banks.size() && gated_banks[bank]) {
-        p *= gated_leakage_fraction;
-      }
+    const std::uint32_t bank = floorplan.bank_of(r);
+    if (bank < gated_banks.size() && gated_banks[bank]) {
+      out[r] *= gated_leakage_fraction;
     }
-    out[r] = p;
   }
 }
 

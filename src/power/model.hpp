@@ -6,7 +6,9 @@
 //   leakage:  P = P_ref · exp(c·(T − T_ref)) per cell, per-bank gateable.
 // The exponential leakage closes the electrothermal loop: hotter cells leak
 // more, which is why homogenizing the map "improves reliability by
-// decreasing leakage" (Sec. 4).
+// decreasing leakage" (Sec. 4). Leakage comes from the one vectorised
+// kernel in power/leakage.hpp (the same one TechnologyParams::leakage_at
+// uses), whose in-tree exp gives the same bits on every ISA.
 #pragma once
 
 #include <span>
@@ -37,8 +39,9 @@ class PowerModel {
       const machine::Floorplan& floorplan, std::span<const double> temps_k,
       const std::vector<bool>& gated_banks = {}) const;
 
-  /// The same, written to `out` (one entry per register) instead of a new
-  /// vector, for callers that evaluate leakage in a loop.
+  /// The same, written to `out` (one entry per register, not overlapping
+  /// `temps_k`) instead of a new vector, for callers that evaluate leakage
+  /// in a loop.
   void leakage_power(const machine::Floorplan& floorplan,
                      std::span<const double> temps_k, std::span<double> out,
                      const std::vector<bool>& gated_banks = {}) const;

@@ -150,6 +150,10 @@ ThermalGrid::ThermalGrid(const machine::Floorplan& floorplan,
       }
     }
   }
+  registers_are_nodes_ = subdivision == 1;
+  for (std::size_t r = 0; r < reg_nodes_.size() && registers_are_nodes_; ++r) {
+    registers_are_nodes_ = reg_nodes_[r] == r;
+  }
 }
 
 std::span<const std::size_t> ThermalGrid::nodes_of(machine::PhysReg r) const {

@@ -153,6 +153,13 @@ class ThermalGrid {
   /// temperatures `t`, written to `reg_temps`.
   void register_temps_into(const double* t, double* reg_temps) const;
 
+  /// True when register r's cell is exactly node r (subdivision 1). Then
+  /// spread_power_into and register_temps_into are exact copies (x·1.0,
+  /// and (0.0 + x)/1.0 for any x but −0.0, which no temperature in kelvin
+  /// is), so callers may use a node buffer as the register buffer and the
+  /// other way round.
+  bool registers_are_nodes() const { return registers_are_nodes_; }
+
   /// Advances `states.size()` independent transient states by the same
   /// `dt` in one pass over the shared tables (per-lane powers in
   /// `reg_powers`). Each lane's arithmetic is identical to a sequential
@@ -271,6 +278,7 @@ class ThermalGrid {
   // reg_nodes_[r·nodes_per_cell() ..], row-major within the cell.
   std::vector<std::size_t> reg_nodes_;
   std::vector<machine::PhysReg> node_owner_;
+  bool registers_are_nodes_ = false;
 };
 
 }  // namespace tadfa::thermal

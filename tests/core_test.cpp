@@ -15,6 +15,7 @@
 #include "core/critical.hpp"
 #include "core/thermal_dfa.hpp"
 #include "dataflow/liveness.hpp"
+#include "machine/machine_config.hpp"
 #include "pipeline/analysis_manager.hpp"
 #include "regalloc/linear_scan.hpp"
 #include "regalloc/policy.hpp"
@@ -791,6 +792,13 @@ TEST(DfaOracle, MatchesTheFig2LoopBitForBitAcrossTheMatrix) {
       machines.push_back(std::make_unique<OracleMachine>(config, sub));
       machine_names.push_back(std::string(name) + "/" + std::to_string(sub));
     }
+  }
+  // The corners where leakage is the largest share of power, at one node
+  // per cell, where the DFA visits in the register domain.
+  for (const char* name : {"dense45", "hotbox"}) {
+    machines.push_back(std::make_unique<OracleMachine>(
+        machine::find_machine(name)->rf, 1));
+    machine_names.push_back(std::string(name) + "/1");
   }
 
   // Every (join, leakage, model, profile) combination runs at least once;

@@ -39,7 +39,7 @@ TEST(Technology, InvalidConfigsRejected) {
 TEST(Technology, LeakageGrowsExponentiallyWithTemp) {
   const TechnologyParams t;
   const double at_ref = t.leakage_at(t.leakage_ref_temp_k);
-  EXPECT_NEAR(at_ref, t.leakage_ref_w, 1e-12);
+  EXPECT_EQ(at_ref, t.leakage_ref_w);  // exp(0) is exactly 1
   const double hotter = t.leakage_at(t.leakage_ref_temp_k + 20);
   EXPECT_GT(hotter, at_ref * 1.5);
   const double colder = t.leakage_at(t.leakage_ref_temp_k - 20);

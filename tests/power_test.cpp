@@ -1,8 +1,18 @@
 // Unit tests for src/power: access traces, windowing, dynamic power,
-// temperature-dependent leakage, gating, trace energy.
+// temperature-dependent leakage, gating, trace energy, and the leakage
+// kernel's accuracy and bit stability.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <random>
+#include <vector>
+
+#include "machine/machine_config.hpp"
 #include "power/access_trace.hpp"
+#include "power/leakage.hpp"
 #include "power/model.hpp"
 
 namespace tadfa::power {
@@ -137,6 +147,175 @@ TEST(PowerModel, MemoryAccessCostsMoreThanRegisterAccess) {
   // order of magnitude more expensive than a register access.
   const auto& tech = cfg().tech;
   EXPECT_GT(tech.memory_access_energy_j, 5 * tech.read_energy_j);
+}
+
+}  // namespace
+}  // namespace tadfa::power
+
+// The leakage kernel: accuracy, exact identities, fallback, batch vs
+// scalar, and pinned output bits.
+namespace tadfa::power {
+namespace {
+
+// |y − exact| in units of the last place of the double nearest `exact`.
+double ulp_error(double y, long double exact) {
+  const double nearest = static_cast<double>(exact);
+  const double ulp =
+      std::nextafter(std::fabs(nearest), INFINITY) - std::fabs(nearest);
+  return static_cast<double>(
+      std::fabs(static_cast<long double>(y) - exact) / ulp);
+}
+
+// Leakage with P_ref = 1, c = 1, T_ref = 0 is exp itself.
+machine::TechnologyParams unit_exp_params() {
+  machine::TechnologyParams t;
+  t.leakage_ref_w = 1.0;
+  t.leakage_temp_coeff = 1.0;
+  t.leakage_ref_temp_k = 0.0;
+  return t;
+}
+
+std::vector<double> batch_exp(const std::vector<double>& xs) {
+  std::vector<double> ys(xs.size());
+  leakage_into(unit_exp_params(), xs, ys);
+  return ys;
+}
+
+// One argument at a time: the loop's scalar remainder, not its vector body.
+double kernel_exp(double x) {
+  double y = 0.0;
+  leakage_into(unit_exp_params(), {&x, 1}, {&y, 1});
+  return y;
+}
+
+// Largest ulp_error of the batched kernel against long-double exp.
+double worst_ulp_error(const std::vector<double>& xs) {
+  const std::vector<double> ys = batch_exp(xs);
+  double worst = 0.0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    worst = std::max(
+        worst, ulp_error(ys[i], std::exp(static_cast<long double>(xs[i]))));
+  }
+  return worst;
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+TEST(LeakageKernel, WithinOneUlpOfExpOnADenseSweepNearZero) {
+  // [−2, 5] in steps of 2^-14: where c·(T − T_ref) lives, and beyond.
+  std::vector<double> xs;
+  for (int i = 0; i <= 7 * 16384; ++i) {
+    xs.push_back(-2.0 + static_cast<double>(i) * 0x1p-14);
+  }
+  EXPECT_LE(worst_ulp_error(xs), 1.0);
+}
+
+TEST(LeakageKernel, WithinOneUlpOfExpOverItsWholeRange) {
+  std::mt19937_64 rng(20090726);
+  std::uniform_real_distribution<double> arg(-708.0, 709.0);
+  std::vector<double> xs(200000);
+  for (double& x : xs) {
+    x = arg(rng);
+  }
+  xs.push_back(-708.0);
+  xs.push_back(709.0);
+  EXPECT_LE(worst_ulp_error(xs), 1.0);
+}
+
+TEST(LeakageKernel, ExpOfZeroIsOneAndLeakageAtTheReferenceIsExact) {
+  EXPECT_EQ(kernel_exp(0.0), 1.0);
+  EXPECT_EQ(kernel_exp(-0.0), 1.0);
+  for (const machine::MachineConfig& m :
+       machine::default_machine_registry().entries()) {
+    const machine::TechnologyParams& t = m.rf.tech;
+    EXPECT_EQ(t.leakage_at(t.leakage_ref_temp_k), t.leakage_ref_w) << m.name;
+  }
+}
+
+TEST(LeakageKernel, ArgumentsOutsideItsRangeGoToStdExp) {
+  const double cases[] = {-INFINITY, INFINITY, NAN, -NAN, -708.0000001,
+                          709.0000001, -745.2, -800.0, 709.7, 710.0, 1e300,
+                          -1e300};
+  std::vector<double> xs(std::begin(cases), std::end(cases));
+  // In a batch too, among in-range neighbours that keep the kernel's bits.
+  const std::vector<double> ys = batch_exp(xs);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const double want = std::exp(xs[i]);
+    if (std::isnan(want)) {
+      EXPECT_TRUE(std::isnan(kernel_exp(xs[i]))) << xs[i];
+      EXPECT_TRUE(std::isnan(ys[i])) << xs[i];
+    } else {
+      EXPECT_EQ(bits_of(kernel_exp(xs[i])), bits_of(want)) << xs[i];
+      EXPECT_EQ(bits_of(ys[i]), bits_of(want)) << xs[i];
+    }
+  }
+  std::vector<double> mixed;
+  for (int i = 0; i < 37; ++i) {
+    mixed.push_back(i % 5 == 0 ? 800.0 : 0.01 * static_cast<double>(i));
+  }
+  const std::vector<double> mixed_out = batch_exp(mixed);
+  for (std::size_t i = 0; i < mixed.size(); ++i) {
+    const double want = i % 5 == 0 ? std::exp(mixed[i]) : kernel_exp(mixed[i]);
+    EXPECT_EQ(bits_of(mixed_out[i]), bits_of(want)) << i;
+  }
+}
+
+TEST(LeakageKernel, BatchedLeakagePowerEqualsLeakageAtBitForBit) {
+  for (const char* name : {"default", "large", "dense45", "hotbox"}) {
+    const machine::MachineConfig& m = *machine::find_machine(name);
+    const machine::Floorplan fp(m.rf);
+    const PowerModel model(m.rf);
+    std::vector<double> temps(fp.num_registers());
+    for (std::size_t r = 0; r < temps.size(); ++r) {
+      temps[r] = 330.0 + 0.173 * static_cast<double>(r);
+    }
+    std::vector<bool> gated(fp.num_banks(), false);
+    gated[0] = true;
+    const std::vector<double> ungated_out = model.leakage_power(fp, temps);
+    const std::vector<double> gated_out =
+        model.leakage_power(fp, temps, gated);
+    for (machine::PhysReg r = 0; r < temps.size(); ++r) {
+      const double one = m.rf.tech.leakage_at(temps[r]);
+      EXPECT_EQ(bits_of(ungated_out[r]), bits_of(one)) << name << " " << r;
+      const double want = fp.bank_of(r) == 0
+                              ? one * PowerModel::gated_leakage_fraction
+                              : one;
+      EXPECT_EQ(bits_of(gated_out[r]), bits_of(want)) << name << " " << r;
+    }
+  }
+}
+
+// Recorded once from the kernel. Any change of its arithmetic (an FMA
+// contraction, a reordered polynomial, an ISA clone that disagrees) moves
+// these bits. The inputs are exact multiples of powers of two, so building
+// them involves no rounding that contraction could change either.
+TEST(LeakageKernel, PinnedDigestOfKernelOutputs) {
+  std::vector<double> xs;
+  for (int i = -4096; i <= 4096; ++i) {
+    xs.push_back(static_cast<double>(i) * 0x1p-10);  // [−4, 4]
+  }
+  for (int i = -708; i <= 709; ++i) {
+    xs.push_back(static_cast<double>(i) + 0.375);  // whole range
+  }
+  std::vector<double> temps;
+  for (int i = 0; i < 4096; ++i) {
+    temps.push_back(300.0 + static_cast<double>(i) * 0x1p-6);  // 300–364 K
+  }
+  std::vector<double> leak(temps.size());
+  leakage_into(machine::TechnologyParams{}, temps, leak);
+
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::vector<double>& out : {batch_exp(xs), leak}) {
+    for (double y : out) {
+      h ^= bits_of(y);
+      h *= 0x100000001b3ull;
+    }
+  }
+  EXPECT_EQ(h, 0x4216f098e8f02db7ull) << std::hex << "digest=0x" << h;
 }
 
 }  // namespace
